@@ -114,4 +114,21 @@ static void BM_LlcWriteAndFlush(benchmark::State& state) {
 }
 BENCHMARK(BM_LlcWriteAndFlush);
 
+// Content-elided store + flush of one object, as the kShadow data plane
+// issues them: 32 B (one line) and 64 KiB (1024 lines, one run).
+static void BM_LlcShadowWriteAndFlush(benchmark::State& state) {
+  sim::Simulator s;
+  mem::PmDevice pm(s, "pm", 1 << 20, {170, 90, 6.6e9, 12e9});
+  mem::Llc llc(s, pm, {});
+  const auto len = static_cast<std::uint64_t>(state.range(0));
+  sim::SimTime t = 0;
+  for (auto _ : state) {
+    llc.write_shadow(0, len);
+    t = llc.clflush(t, 0, len);
+  }
+  benchmark::DoNotOptimize(t);
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() * len));
+}
+BENCHMARK(BM_LlcShadowWriteAndFlush)->Arg(32)->Arg(64 * 1024);
+
 BENCHMARK_MAIN();

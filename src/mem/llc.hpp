@@ -1,10 +1,9 @@
 #pragma once
 
-#include <array>
 #include <cstdint>
-#include <deque>
+#include <map>
 #include <span>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "mem/device.hpp"
@@ -31,10 +30,14 @@ struct LlcParams {
 /// stale bytes. clflush() writes lines back into the persist domain.
 /// Capacity pressure evicts the oldest dirty line to PM (physically
 /// persisting it, but invisibly to any remote observer).
+///
+/// The model is per 64 B line, but the dirty set is stored as runs of
+/// lines (DESIGN.md §7.3), so a store or flush costs one range
+/// operation, not one per line.
 class Llc {
  public:
-  Llc(sim::Simulator& sim, Device& backing, LlcParams params)
-      : sim_(sim), backing_(backing), params_(params) {}
+  /// Throws std::invalid_argument if `params.capacity_lines` is 0.
+  Llc(sim::Simulator& sim, Device& backing, LlcParams params);
 
   Llc(const Llc&) = delete;
   Llc& operator=(const Llc&) = delete;
@@ -49,7 +52,8 @@ class Llc {
   /// copies. Shadow-only lines also write back content-free.
   void write_shadow(std::uint64_t addr, std::uint64_t len);
 
-  /// Coherent load: dirty lines shadow the backing device.
+  /// Coherent load: dirty lines shadow the backing device (shadow-only
+  /// lines read as zeros).
   void read(std::uint64_t addr, std::span<std::byte> out) const;
 
   /// True if any line overlapping [addr, addr+len) is dirty.
@@ -63,54 +67,79 @@ class Llc {
   /// Power failure: dirty lines are lost. Counts the casualties.
   void crash();
 
-  [[nodiscard]] std::size_t dirty_lines() const { return lines_.size(); }
+  [[nodiscard]] std::size_t dirty_lines() const { return dirty_lines_; }
   [[nodiscard]] std::uint64_t evictions() const { return evictions_; }
   [[nodiscard]] std::uint64_t lines_flushed() const { return lines_flushed_; }
   [[nodiscard]] std::uint64_t lines_lost_to_crash() const { return lines_lost_; }
 
  private:
-  struct Line {
-    std::array<std::byte, kCacheLine> data;  // inline: no per-line heap alloc
-    /// Tag of this line's live FIFO entry (see FifoEntry): flushing a
-    /// line no longer scans the eviction queue, it just orphans the
-    /// entry, and eviction skips entries whose tag no longer matches.
-    std::uint64_t fifo_seq = 0;
+  struct Run;
+  /// A run as stored: (end address, run). Runs are keyed by their end,
+  /// so evicting lines from a run's front never re-keys it.
+  using Entry = std::pair<const std::uint64_t, Run>;
+
+  /// Dirty lines [start, end): address-contiguous, and consecutive in
+  /// the eviction FIFO in address order.
+  struct Run {
+    std::uint64_t start = 0;
     /// False for lines only ever touched by write_shadow: their
     /// content is meaningless, so write-back skips the byte copy
     /// (accounting is unchanged — see Device::poke_shadow).
-    bool has_bytes = true;
+    bool has_bytes = false;
+    /// Content of a byte run: data[a - base] is the byte at address a
+    /// (base <= start; evicting the front leaves a dead prefix).
+    std::uint64_t base = 0;
+    std::vector<std::byte> data;
+    /// Neighbours in the eviction FIFO, which is the list of runs in
+    /// FIFO order: every line of `older` is older than every line here.
+    Entry* older = nullptr;
+    Entry* newer = nullptr;
   };
 
-  /// One eviction-queue entry; stale once the line was flushed (or
-  /// re-dirtied, which re-enqueues it with a fresh seq).
-  struct FifoEntry {
-    std::uint64_t addr;
-    std::uint64_t seq;
-  };
+  using RunMap = std::map<std::uint64_t, Run>;
 
-  using LineMap = std::unordered_map<std::uint64_t, Line>;
+  /// Turns lines [from, to) of shadow-only run `it` into a zero-filled
+  /// byte run, splitting `it` around them; returns the byte run.
+  Entry* make_bytes(RunMap::iterator it, std::uint64_t from, std::uint64_t to);
+  /// Splits [start, at) off `it` into a new run just older than `it`.
+  void split(RunMap::iterator it, std::uint64_t at);
+  /// Writes back the FIFO-oldest lines until the capacity holds.
+  void evict();
+  void rekey(Entry* e, std::uint64_t end);
 
-  /// Returns the cached line for `line_addr`, faulting it in from the
-  /// backing device if needed (`fill` — shadow stores skip the fill),
-  /// and marks it dirty.
-  Line& dirty_line(std::uint64_t line_addr, bool fill);
+  // The helpers below run once per store or flush; they are inline so
+  // a one-line store + flush costs no more than the per-line model did.
 
-  void write_back(std::uint64_t line_addr, const Line& line);
-  void evict_if_needed();
-  /// Drops stale FIFO entries once they dominate the queue, so lazy
-  /// deletion stays O(1) amortized without unbounded growth.
-  void compact_fifo();
-  /// Erases `it` from the line map, stashing the node for reuse so the
-  /// steady-state write->flush cycle performs no map allocations.
-  void erase_line(LineMap::iterator it);
+  /// Marks the clean lines [from, to) dirty as the FIFO's newest lines:
+  /// extends the newest run when it ends at `from` with the same kind,
+  /// else opens a new run before `next`, the first run after `to`. The
+  /// caller sizes and fills a byte run's `data`. Does not evict.
+  inline Entry* append_lines(RunMap::iterator next, std::uint64_t from,
+                             std::uint64_t to, bool has_bytes);
+  /// Drops lines [from, to) of `it` (no write-back).
+  inline void remove_lines(RunMap::iterator it, std::uint64_t from,
+                           std::uint64_t to);
+  inline void write_back(const Run& r, std::uint64_t from, std::uint64_t to);
+  /// Inserts an unlinked run before `next`, reusing a spare map node
+  /// when there is one so the steady-state write->flush cycle performs
+  /// no map allocations. A byte run's `data` comes back empty.
+  inline Entry* new_run(RunMap::iterator next, std::uint64_t start,
+                        std::uint64_t end, bool has_bytes);
+  inline void erase_run(RunMap::iterator it);
+  /// Keeps a removed node for reuse, within the spare-list bounds.
+  inline void recycle(RunMap::node_type nh);
+  inline void link_newest(Entry* e);
+  inline void unlink(Entry* e);
 
   sim::Simulator& sim_;
   Device& backing_;
   LlcParams params_;
-  LineMap lines_;
-  std::vector<LineMap::node_type> spare_nodes_;  // recycled map nodes
-  std::deque<FifoEntry> fifo_;  // insertion order for eviction
-  std::uint64_t next_fifo_seq_ = 1;
+  RunMap runs_;
+  std::vector<RunMap::node_type> spare_nodes_;  // recycled map nodes
+  std::uint64_t spare_bytes_ = 0;  // data capacity held by spare nodes
+  Entry* oldest_ = nullptr;  // eviction FIFO: front...
+  Entry* newest_ = nullptr;  // ...and back
+  std::size_t dirty_lines_ = 0;
   std::uint64_t evictions_ = 0;
   std::uint64_t lines_flushed_ = 0;
   std::uint64_t lines_lost_ = 0;

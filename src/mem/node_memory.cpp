@@ -71,6 +71,13 @@ void NodeMemory::write_shadow_seg(std::uint64_t addr, std::uint64_t len,
   } else {
     dram_.poke_shadow(addr - kDramBase, len);
   }
+  const auto it = shadow_.find(addr);
+  if (it != shadow_.end() && it->second.len == len) {
+    // Same extent rewritten (the common repeat write to an object):
+    // nothing else can overlap it, so replace it in place.
+    it->second = ShadowRange{len, seed, off};
+    return;
+  }
   trim_shadow(addr, len);
   shadow_.insert_or_assign(addr, ShadowRange{len, seed, off});
 }

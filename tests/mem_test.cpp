@@ -3,9 +3,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstdlib>
 #include <cstring>
+#include <deque>
+#include <map>
+#include <random>
+#include <span>
+#include <stdexcept>
 #include <vector>
 
 #include "mem/buffer_pool.hpp"
@@ -191,6 +197,308 @@ TEST_F(LlcFixture, FlushTimingScalesWithLineCount) {
   llc.write(1024, pattern(256));
   const SimTime four = llc.clflush(100000, 1024, 256) - 100000;
   EXPECT_GT(four, one);
+}
+
+TEST_F(LlcFixture, ZeroCapacityIsRejected) {
+  LlcParams none;
+  none.capacity_lines = 0;
+  EXPECT_THROW(Llc(sim, pm, none), std::invalid_argument);
+}
+
+// The four non-obvious semantics of the line model, pinned one by one.
+
+TEST_F(LlcFixture, EvictionAheadOfWriteCursorRedirtiesTheLine) {
+  LlcParams small;
+  small.capacity_lines = 2;
+  Llc tiny(sim, pm, small);
+  const auto a = pattern(kCacheLine, 1);
+  const auto b = pattern(3 * kCacheLine, 2);
+  tiny.write(2 * kCacheLine, a);  // line 2: the FIFO-oldest line
+  // Lines 0..2 in one write: dirtying line 1 evicts line 2, which lies
+  // further ahead in the same write, with its old bytes. When the
+  // cursor reaches line 2 it is faulted in again with a fresh FIFO
+  // position, and in turn evicts line 0.
+  tiny.write(0, b);
+  EXPECT_EQ(tiny.evictions(), 2u);
+  EXPECT_EQ(tiny.dirty_lines(), 2u);
+  std::vector<std::byte> raw(3 * kCacheLine);
+  pm.peek(0, raw);
+  EXPECT_TRUE(std::equal(b.begin(), b.begin() + kCacheLine, raw.begin()))
+      << "line 0 was evicted after its store";
+  EXPECT_EQ(raw[kCacheLine], std::byte{0}) << "line 1 is still dirty";
+  EXPECT_TRUE(std::equal(a.begin(), a.end(), raw.begin() + 2 * kCacheLine))
+      << "line 2 was written back before the cursor reached it";
+  // Fills: line 2, then lines 0, 1, 2 again; reads: the peek above.
+  EXPECT_EQ(pm.bytes_copied(), 4 * kCacheLine + 2 * kCacheLine + raw.size());
+  EXPECT_EQ(pm.bytes_written(), 2 * kCacheLine);
+  // Line 2's fresh FIFO position is younger than line 1's.
+  tiny.write(8 * kCacheLine, pattern(kCacheLine, 3));
+  EXPECT_TRUE(tiny.is_dirty(2 * kCacheLine, kCacheLine));
+  EXPECT_FALSE(tiny.is_dirty(kCacheLine, kCacheLine));
+  std::vector<std::byte> out(3 * kCacheLine);
+  tiny.read(0, out);
+  EXPECT_EQ(out, b);
+}
+
+TEST_F(LlcFixture, RedirtyingALineKeepsItsFifoPosition) {
+  LlcParams small;
+  small.capacity_lines = 2;
+  Llc tiny(sim, pm, small);
+  tiny.write(0, pattern(kCacheLine, 1));
+  tiny.write(4 * kCacheLine, pattern(kCacheLine, 2));
+  const auto c = pattern(kCacheLine, 3);
+  tiny.write(0, c);  // already dirty: same FIFO position
+  tiny.write_shadow(0, kCacheLine);
+  tiny.write(8 * kCacheLine, pattern(kCacheLine, 4));
+  EXPECT_EQ(tiny.evictions(), 1u);
+  EXPECT_FALSE(tiny.is_dirty(0, kCacheLine))
+      << "line 0 is still the oldest, however recently it was stored to";
+  EXPECT_TRUE(tiny.is_dirty(4 * kCacheLine, kCacheLine));
+  std::vector<std::byte> raw(kCacheLine);
+  pm.peek(0, raw);
+  EXPECT_EQ(raw, c);
+}
+
+TEST_F(LlcFixture, ByteStoreIntoShadowLineZeroFills) {
+  pm.poke(0, pattern(kCacheLine, 3));
+  const std::uint64_t copied = pm.bytes_copied();
+  llc.write_shadow(0, kCacheLine);
+  llc.write(10, bytes({0xAA, 0xBB}));
+  EXPECT_EQ(pm.bytes_copied(), copied) << "no fill from PM";
+  std::vector<std::byte> expect(kCacheLine, std::byte{0});
+  expect[10] = std::byte{0xAA};
+  expect[11] = std::byte{0xBB};
+  std::vector<std::byte> out(kCacheLine);
+  llc.read(0, out);
+  EXPECT_EQ(out, expect);
+  (void)llc.clflush(0, 0, kCacheLine);
+  pm.peek(0, out);
+  EXPECT_EQ(out, expect) << "the line writes back as bytes";
+}
+
+TEST_F(LlcFixture, ReadOverlaysZerosForShadowLines) {
+  const auto old_data = pattern(2 * kCacheLine, 5);
+  pm.poke(0, old_data);
+  llc.write_shadow(0, kCacheLine);
+  std::vector<std::byte> out(2 * kCacheLine);
+  llc.read(0, out);
+  auto expect = old_data;
+  std::fill_n(expect.begin(), kCacheLine, std::byte{0});
+  EXPECT_EQ(out, expect);
+  // Writing a shadow line back moves no bytes but counts the write.
+  const std::uint64_t written = pm.bytes_written();
+  (void)llc.clflush(0, 0, kCacheLine);
+  EXPECT_EQ(pm.bytes_written(), written + kCacheLine);
+  pm.peek(0, out);
+  EXPECT_EQ(out, old_data);
+}
+
+// ------------------------------------------- Llc vs per-line reference
+
+/// Test-only reference for Llc: the same cache model kept as one entry
+/// per 64 B line (a line map plus a FIFO of (line, seq) with lazy
+/// deletion). Llc tracks dirty lines as runs; the two must agree on
+/// every observable after every operation.
+class LineLlc {
+ public:
+  LineLlc(Device& backing, LlcParams params)
+      : backing_(backing), params_(params) {}
+
+  void write(std::uint64_t addr, std::span<const std::byte> data) {
+    std::uint64_t pos = addr;
+    std::size_t done = 0;
+    while (done < data.size()) {
+      const std::uint64_t la = line_down(pos);
+      const std::uint64_t off = pos - la;
+      const std::size_t n = static_cast<std::size_t>(
+          std::min<std::uint64_t>(kCacheLine - off, data.size() - done));
+      Line& line = dirty_line(la, /*fill=*/true);
+      std::copy_n(data.begin() + static_cast<std::ptrdiff_t>(done), n,
+                  line.data.begin() + static_cast<std::ptrdiff_t>(off));
+      pos += n;
+      done += n;
+    }
+  }
+
+  void write_shadow(std::uint64_t addr, std::uint64_t len) {
+    for (std::uint64_t la = line_down(addr); la < line_up(addr + len);
+         la += kCacheLine) {
+      (void)dirty_line(la, /*fill=*/false);
+    }
+  }
+
+  void read(std::uint64_t addr, std::span<std::byte> out) const {
+    backing_.peek(addr, out);
+    for (std::uint64_t la = line_down(addr); la < line_up(addr + out.size());
+         la += kCacheLine) {
+      const auto it = lines_.find(la);
+      if (it == lines_.end()) continue;
+      const std::uint64_t lo = std::max(la, addr);
+      const std::uint64_t hi = std::min(la + kCacheLine, addr + out.size());
+      std::copy_n(it->second.data.begin() + static_cast<std::ptrdiff_t>(lo - la),
+                  hi - lo, out.begin() + static_cast<std::ptrdiff_t>(lo - addr));
+    }
+  }
+
+  bool is_dirty(std::uint64_t addr, std::uint64_t len) const {
+    for (std::uint64_t la = line_down(addr); la < line_up(addr + len);
+         la += kCacheLine) {
+      if (lines_.contains(la)) return true;
+    }
+    return false;
+  }
+
+  SimTime clflush(SimTime start, std::uint64_t addr, std::uint64_t len) {
+    SimTime t = start;
+    std::uint64_t flushed = 0;
+    for (std::uint64_t la = line_down(addr); la < line_up(addr + len);
+         la += kCacheLine) {
+      const auto it = lines_.find(la);
+      if (it == lines_.end()) continue;
+      write_back(la, it->second);
+      lines_.erase(it);
+      t += params_.clflush_per_line;
+      ++flushed;
+    }
+    lines_flushed_ += flushed;
+    if (flushed > 0) {
+      t = std::max(t, backing_.write_complete_at(start, flushed * kCacheLine));
+    }
+    return t + params_.sfence_cost;
+  }
+
+  void crash() {
+    lines_lost_ += lines_.size();
+    lines_.clear();
+    fifo_.clear();
+  }
+
+  std::size_t dirty_lines() const { return lines_.size(); }
+  std::uint64_t evictions() const { return evictions_; }
+  std::uint64_t lines_flushed() const { return lines_flushed_; }
+  std::uint64_t lines_lost_to_crash() const { return lines_lost_; }
+
+ private:
+  struct Line {
+    std::array<std::byte, kCacheLine> data{};
+    std::uint64_t seq = 0;
+    bool has_bytes = true;
+  };
+
+  Line& dirty_line(std::uint64_t la, bool fill) {
+    auto it = lines_.find(la);
+    if (it == lines_.end()) {
+      it = lines_.emplace(la, Line{}).first;
+      if (fill) {
+        backing_.peek(la, it->second.data);
+      } else {
+        it->second.has_bytes = false;
+      }
+      it->second.seq = next_seq_++;
+      fifo_.emplace_back(la, it->second.seq);
+      while (lines_.size() > params_.capacity_lines) {
+        const auto [victim, seq] = fifo_.front();
+        fifo_.pop_front();
+        const auto v = lines_.find(victim);
+        if (v == lines_.end() || v->second.seq != seq) continue;
+        write_back(victim, v->second);
+        lines_.erase(v);
+        ++evictions_;
+      }
+    } else if (fill) {
+      it->second.has_bytes = true;
+    }
+    return it->second;
+  }
+
+  void write_back(std::uint64_t la, const Line& line) {
+    if (line.has_bytes) {
+      backing_.poke(la, line.data);
+    } else {
+      backing_.poke_shadow(la, kCacheLine);
+    }
+  }
+
+  Device& backing_;
+  LlcParams params_;
+  std::map<std::uint64_t, Line> lines_;
+  std::deque<std::pair<std::uint64_t, std::uint64_t>> fifo_;
+  std::uint64_t next_seq_ = 1;
+  std::uint64_t evictions_ = 0;
+  std::uint64_t lines_flushed_ = 0;
+  std::uint64_t lines_lost_ = 0;
+};
+
+/// Drives Llc and LineLlc with one seeded random operation sequence
+/// (byte and shadow stores, unaligned, up to twice the capacity long)
+/// and compares every observable after every step.
+void differential_run(std::uint64_t seed, std::uint64_t capacity_lines) {
+  constexpr std::uint64_t kSpan = 24 * kCacheLine;
+  constexpr std::uint64_t kMem = kSpan + 32 * kCacheLine;
+  Simulator sim;
+  PmDevice pm_new(sim, "pm", kMem, DeviceTiming{170, 90, 6e9, 2e9});
+  PmDevice pm_ref(sim, "pm", kMem, DeviceTiming{170, 90, 6e9, 2e9});
+  LlcParams params;
+  params.capacity_lines = capacity_lines;
+  Llc llc(sim, pm_new, params);
+  LineLlc ref(pm_ref, params);
+  std::mt19937_64 rng(seed);
+  auto draw = [&rng](std::uint64_t n) { return rng() % n; };
+  SimTime now = 0;
+  for (int step = 0; step < 400; ++step) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed << " capacity "
+                                      << capacity_lines << " step " << step);
+    const std::uint64_t addr = draw(kSpan);
+    const std::uint64_t max_len = 2 * (capacity_lines + 1) * kCacheLine;
+    const std::uint64_t len = draw(8) == 0 ? draw(kCacheLine) : draw(max_len);
+    const std::uint64_t op = draw(100);
+    if (op < 30) {
+      const auto data = pattern(len, static_cast<int>(draw(256)));
+      llc.write(addr, data);
+      ref.write(addr, data);
+    } else if (op < 55) {
+      llc.write_shadow(addr, len);
+      ref.write_shadow(addr, len);
+    } else if (op < 70) {
+      std::vector<std::byte> got(len);
+      std::vector<std::byte> want(len);
+      llc.read(addr, got);
+      ref.read(addr, want);
+      ASSERT_EQ(got, want);
+    } else if (op < 80) {
+      ASSERT_EQ(llc.is_dirty(addr, len), ref.is_dirty(addr, len));
+    } else if (op < 98) {
+      now += draw(2000);
+      ASSERT_EQ(llc.clflush(now, addr, len), ref.clflush(now, addr, len));
+    } else {
+      llc.crash();
+      ref.crash();
+    }
+    ASSERT_EQ(llc.dirty_lines(), ref.dirty_lines());
+    ASSERT_EQ(llc.evictions(), ref.evictions());
+    ASSERT_EQ(llc.lines_flushed(), ref.lines_flushed());
+    ASSERT_EQ(llc.lines_lost_to_crash(), ref.lines_lost_to_crash());
+    ASSERT_EQ(pm_new.bytes_written(), pm_ref.bytes_written());
+    ASSERT_EQ(pm_new.bytes_copied(), pm_ref.bytes_copied());
+    const auto a = pm_new.view(0, kMem);
+    const auto b = pm_ref.view(0, kMem);
+    ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin())) << "PM contents";
+  }
+  // Whatever is still dirty reads back the same through both models.
+  std::vector<std::byte> got(kMem);
+  std::vector<std::byte> want(kMem);
+  llc.read(0, got);
+  ref.read(0, want);
+  ASSERT_EQ(got, want);
+}
+
+TEST(LlcDifferential, MatchesPerLineModelOnRandomSequences) {
+  for (std::uint64_t capacity = 1; capacity <= 8; ++capacity) {
+    for (std::uint64_t seed = 1; seed <= 25; ++seed) {
+      differential_run(seed * 1000 + capacity, capacity);
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+  }
 }
 
 // ------------------------------------------------------------ NodeMemory
@@ -468,6 +776,11 @@ TEST(ShadowPlane, DigestTracksWrittenExtents) {
   EXPECT_EQ(*d, shadow_digest(42, 0, 1024));
   // Untracked ranges have no digest — byte content is authoritative.
   EXPECT_FALSE(mem.shadow_digest_at(4096 + 64, 64).has_value());
+  // Rewriting the same extent replaces its generator.
+  PayloadRef again = mem.pool().acquire(0);
+  again.buf()->append_shadow(1024, /*seed=*/7, /*off=*/128);
+  mem.cpu_write_payload(4096, again);
+  EXPECT_EQ(mem.shadow_digest_at(4096, 1024), shadow_digest(7, 128, 1024));
 }
 
 TEST(ShadowPlane, ReplicatedFanOutSharesOnePooledPayload) {
