@@ -242,12 +242,53 @@ void Rnic::transmit_control(Packet p) {
 }
 
 void Rnic::arm_retransmit(std::uint32_t qpn, std::uint64_t seq) {
-  // One timer per posted packet, armed at the base interval: on a
-  // lossless fabric the packet is long ACKed when it fires (one no-op
-  // event, identical to the historical model, so clean runs stay
-  // bit-exact). Go-back-N, backoff and escalation only engage when a
-  // fired timer finds its sequence still unacknowledged.
-  arm_retransmit_after(qpn, seq, params_.retransmit_interval);
+  // One timeout per posted packet, armed at the base interval. On a
+  // lossless fabric the packet is long ACKed by its deadline, so the
+  // entry is dropped from the FIFO without ever firing. Go-back-N,
+  // backoff and escalation only engage when a timeout fires with its
+  // sequence still unacknowledged.
+  const SimTime deadline = sim_.now() + params_.retransmit_interval;
+  assert((timeouts_head_ == timeouts_.size() ||
+          timeouts_.back().deadline <= deadline) &&
+         "retransmit_interval changed while timeouts were pending");
+  timeouts_.push_back(Timeout{deadline, sim_.reserve_seq(), epoch_, seq, qpn});
+  if (!timeout_armed_) arm_next_timeout();
+}
+
+bool Rnic::timeout_dead(const Timeout& t) {
+  if (t.epoch != epoch_ || !alive_) return true;
+  const Qp* qp = find_qp(t.qpn);
+  return qp == nullptr || qp->in_error || !qp->unacked.contains(t.seq);
+}
+
+void Rnic::arm_next_timeout() {
+  while (timeouts_head_ < timeouts_.size() &&
+         timeout_dead(timeouts_[timeouts_head_])) {
+    ++timeouts_head_;
+  }
+  if (timeouts_head_ == timeouts_.size()) {
+    timeouts_.clear();
+    timeouts_head_ = 0;
+    return;
+  }
+  // Recycle the consumed prefix once it outweighs the live tail, so
+  // each entry is moved O(1) times on average.
+  if (timeouts_head_ >= 64 && 2 * timeouts_head_ >= timeouts_.size()) {
+    const auto head = static_cast<std::ptrdiff_t>(timeouts_head_);
+    timeouts_.erase(timeouts_.begin(), timeouts_.begin() + head);
+    timeouts_head_ = 0;
+  }
+  const Timeout& t = timeouts_[timeouts_head_];
+  timeout_armed_ = true;
+  sim_.schedule_reserved(t.deadline, t.key_seq, [this] { fire_timeout(); });
+}
+
+void Rnic::fire_timeout() {
+  const Timeout t = timeouts_[timeouts_head_++];
+  timeout_armed_ = false;
+  on_retransmit_timeout(t.epoch, t.qpn, t.seq);
+  // A non-head re-arm inside the body has already armed the next entry.
+  if (!timeout_armed_) arm_next_timeout();
 }
 
 sim::SimTime Rnic::backoff_delay(int timeouts) const {
@@ -280,37 +321,42 @@ void Rnic::arm_retransmit_after(std::uint32_t qpn, std::uint64_t seq,
                                 sim::SimTime delay) {
   const std::uint64_t epoch = epoch_;
   sim_.schedule(delay, [this, epoch, qpn, seq] {
-    if (epoch != epoch_ || !alive_) return;
-    Qp* qp = find_qp(qpn);
-    if (qp == nullptr || qp->in_error) return;
-    const auto it = qp->unacked.find(seq);
-    if (it == qp->unacked.end()) return;  // ACKed in the meantime
-    if (it != qp->unacked.begin()) {
-      // Not the head of the unacked window. The head's timer drives
-      // go-back-N (which replays this packet too); keep watching at
-      // the base cadence until this packet is ACKed or becomes head.
-      arm_retransmit_after(qpn, seq, params_.retransmit_interval);
-      return;
-    }
-    if (it->second.attempts > params_.max_retransmits) {
-      fail_qp(*qp);
-      return;
-    }
-    ++it->second.attempts;
-    // Go-back-N: a head timeout means everything after the last
-    // cumulative ACK is suspect — replay the whole unacked window in
-    // sequence order. PendingWr keeps the original PayloadRef, so a
-    // replay shares the same payload block (zero-copy).
-    for (auto& [s, wr] : qp->unacked) {
-      ++retransmits_;
-      if (tracer_ != nullptr) {
-        tracer_->counter(trace::Component::kRnicRetransmit, sim_.now(), 1,
-                         static_cast<std::uint16_t>(id_));
-      }
-      fabric_.send(wr.packet);
-    }
-    arm_retransmit_after(qpn, seq, backoff_delay(it->second.attempts - 1));
+    on_retransmit_timeout(epoch, qpn, seq);
   });
+}
+
+void Rnic::on_retransmit_timeout(std::uint64_t epoch, std::uint32_t qpn,
+                                 std::uint64_t seq) {
+  if (epoch != epoch_ || !alive_) return;
+  Qp* qp = find_qp(qpn);
+  if (qp == nullptr || qp->in_error) return;
+  const auto it = qp->unacked.find(seq);
+  if (it == qp->unacked.end()) return;  // ACKed in the meantime
+  if (it != qp->unacked.begin()) {
+    // Not the head of the unacked window. The head's timer drives
+    // go-back-N (which replays this packet too); keep watching at the
+    // base cadence until this packet is ACKed or becomes head.
+    arm_retransmit(qpn, seq);
+    return;
+  }
+  if (it->second.attempts > params_.max_retransmits) {
+    fail_qp(*qp);
+    return;
+  }
+  ++it->second.attempts;
+  // Go-back-N: a head timeout means everything after the last
+  // cumulative ACK is suspect — replay the whole unacked window in
+  // sequence order. PendingWr keeps the original PayloadRef, so a
+  // replay shares the same payload block (zero-copy).
+  for (auto& [s, wr] : qp->unacked) {
+    ++retransmits_;
+    if (tracer_ != nullptr) {
+      tracer_->counter(trace::Component::kRnicRetransmit, sim_.now(), 1,
+                       static_cast<std::uint16_t>(id_));
+    }
+    fabric_.send(wr.packet);
+  }
+  arm_retransmit_after(qpn, seq, backoff_delay(it->second.attempts - 1));
 }
 
 void Rnic::complete_send_wr(Qp& qp, std::uint64_t seq, const Packet& ack) {

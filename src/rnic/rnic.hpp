@@ -202,9 +202,18 @@ class Rnic {
   sim::SimTime transmit_data(net::Packet p);
   /// RNIC-generated control packet (ACK, flush-ACK, read response).
   void transmit_control(net::Packet p);
+  /// Arms the base-interval ACK timeout of (qpn, seq): appends it to
+  /// the timeout FIFO.
   void arm_retransmit(std::uint32_t qpn, std::uint64_t seq);
+  /// Backoff re-arm of a head timeout, `delay` from now. These only
+  /// happen on lossy fabrics, so they stay ordinary heap events.
   void arm_retransmit_after(std::uint32_t qpn, std::uint64_t seq,
                             sim::SimTime delay);
+  /// The timer body: go-back-N replay, backoff re-arm or escalation
+  /// when (qpn, seq) heads its QP's unacked window; a base-interval
+  /// re-arm when it is still unacked behind the head; else nothing.
+  void on_retransmit_timeout(std::uint64_t epoch, std::uint32_t qpn,
+                             std::uint64_t seq);
   /// The rearm delay after `timeouts` consecutive head-of-window
   /// timeout rounds: interval * backoff^timeouts, capped.
   [[nodiscard]] sim::SimTime backoff_delay(int timeouts) const;
@@ -250,6 +259,44 @@ class Rnic {
 
   bool alive_ = true;
   std::uint64_t epoch_ = 0;  ///< bumped on crash; stale callbacks no-op
+
+  // -- base-interval ACK timeouts --
+  //
+  // Every posted RC packet arms a timeout at now + retransmit_interval.
+  // Instead of one heap event each, they wait in this FIFO and the heap
+  // holds one event, for the first entry still live. Exact because:
+  //  1. Deadlines are now + interval with now non-decreasing (the
+  //     interval is set before the run), and each entry's heap seq is
+  //     reserved (Simulator::reserve_seq) when it is armed, so seq
+  //     increases too: the FIFO is sorted by (time, seq).
+  //     The heap's minimum is therefore still the global minimum, and
+  //     every timer that matters fires at the key a per-timer event
+  //     would have had.
+  //  2. QP numbers (next_qpn_++) and per-QP sequence numbers
+  //     (next_seq++) are never reused; nothing re-inserts an erased
+  //     `unacked` entry, `in_error` is never cleared and epoch_ only
+  //     grows. A timer found dead is a no-op forever, so dropping it
+  //     unfired is unobservable except in Simulator::events_executed().
+  //  3. Timers are local to this RNIC's shard, so PartitionedEngine
+  //     merges and layouts are untouched.
+  struct Timeout {
+    sim::SimTime deadline;
+    std::uint64_t key_seq;  ///< heap seq reserved when armed
+    std::uint64_t epoch;
+    std::uint64_t seq;      ///< packet sequence number
+    std::uint32_t qpn;
+  };
+  /// Pending timeouts from timeouts_head_ on, oldest first; the consumed
+  /// prefix is recycled in place once it outweighs the live tail.
+  std::vector<Timeout> timeouts_;
+  std::size_t timeouts_head_ = 0;
+  /// True while the heap holds the event for timeouts_[timeouts_head_].
+  bool timeout_armed_ = false;
+  [[nodiscard]] bool timeout_dead(const Timeout& t);
+  /// Drops dead entries off the front, then gives the heap one event
+  /// keyed with the first live entry's reserved (deadline, seq).
+  void arm_next_timeout();
+  void fire_timeout();
 
   std::uint32_t next_qpn_ = 1;
   std::map<std::uint32_t, std::unique_ptr<Qp>> qps_;

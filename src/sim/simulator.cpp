@@ -33,8 +33,12 @@ void Simulator::schedule_at(SimTime t, InlineTask fn) {
 
 void Simulator::push_entry(SimTime t, std::uint32_t slot) {
   if (t < now_) t = now_;  // never schedule into the past
+  push_keyed(HeapEntry{t, next_seq_++, slot});
+}
+
+void Simulator::push_keyed(HeapEntry entry) {
   if (heap_.size() == heap_.capacity()) ++pool_allocs_;
-  heap_.push_back(HeapEntry{t, next_seq_++, slot});
+  heap_.push_back(entry);
   sift_up(heap_.size() - 1);
 }
 
@@ -107,6 +111,7 @@ bool Simulator::step() {
   heap_.pop_back();
   if (!heap_.empty()) sift_down(0);
   now_ = top.time;
+  running_ = top;
   ++executed_;
   // Invoke in place — the chunked slab keeps the slot's address stable
   // even when the callback schedules enough new events to grow the

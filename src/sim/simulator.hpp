@@ -56,6 +56,26 @@ class Simulator {
   /// Overload for a pre-built task (move-assigned into the slot).
   void schedule_at(SimTime t, InlineTask fn);
 
+  /// Takes the sequence number the next schedule() would have used.
+  /// A component that keeps its own (time, seq)-sorted queue reserves
+  /// each entry's seq when the entry is created and later pushes only
+  /// the queue's front with schedule_reserved(), so the heap holds one
+  /// entry for the whole queue while every entry that reaches the heap
+  /// still runs at the key a plain schedule() would have given it.
+  [[nodiscard]] std::uint64_t reserve_seq() { return next_seq_++; }
+
+  /// Schedules `fn` with exactly the key (t, seq), `seq` taken from
+  /// reserve_seq(). The key must not precede the running event's key
+  /// (it would run out of order); nothing is clamped.
+  template <typename F>
+  void schedule_reserved(SimTime t, std::uint64_t seq, F&& fn) {
+    assert((t >= now_ && !HeapEntry{t, seq, kNoSlot}.before(running_)) &&
+           "schedule_reserved() key precedes the running event");
+    const std::uint32_t s = acquire_slot();
+    slot(s).fn.emplace(std::forward<F>(fn));
+    push_keyed(HeapEntry{t, seq, s});
+  }
+
   /// Executes the next pending event, if any. Returns false when idle.
   bool step();
 
@@ -166,6 +186,8 @@ class Simulator {
   void release_slot(std::uint32_t slot);
   /// Links an occupied slot into the queue at time `t` (clamped to now()).
   void push_entry(SimTime t, std::uint32_t slot);
+  /// Links an occupied slot into the queue under exactly `entry`'s key.
+  void push_keyed(HeapEntry entry);
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
 
@@ -189,6 +211,8 @@ class Simulator {
   std::vector<std::unique_ptr<Slot[]>> slab_;
   std::size_t slab_size_ = 0;  ///< slots handed out across all chunks
   std::uint32_t free_head_ = kNoSlot;
+  /// Key of the event step() last popped (the running one while it runs).
+  HeapEntry running_{0, 0, kNoSlot};
   // Hand-rolled 4-ary min-heap: std::priority_queue's const top() blocks
   // moving entries out, and (time, seq) FIFO needs the explicit tie-break.
   // Arity does not affect the pop order — the comparator is total.

@@ -5,12 +5,62 @@
 #include <deque>
 #include <optional>
 #include <utility>
-#include <vector>
 
 #include "sim/simulator.hpp"
 #include "sim/task.hpp"
 
 namespace prdma::sim {
+
+/// Intrusive FIFO of suspended awaiters, threaded through each
+/// awaiter's `next_` pointer (W declares `W* next_` and befriends
+/// WaiterList<W>). An awaiter lives in the frame of the coroutine it
+/// suspends, which stays put until the waiter is resumed, so queueing a
+/// waiter never allocates.
+template <typename W>
+class WaiterList {
+ public:
+  [[nodiscard]] bool empty() const noexcept { return head_ == nullptr; }
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+
+  void push_back(W* w) noexcept {
+    w->next_ = nullptr;
+    if (tail_ != nullptr) {
+      tail_->next_ = w;
+    } else {
+      head_ = w;
+    }
+    tail_ = w;
+    ++size_;
+  }
+
+  /// Requires !empty().
+  W* pop_front() noexcept {
+    W* w = head_;
+    head_ = w->next_;
+    if (head_ == nullptr) tail_ = nullptr;
+    --size_;
+    return w;
+  }
+
+  /// Empties the list first, then calls fn(w) for every former waiter
+  /// in FIFO order (so fn may queue new waiters).
+  template <typename Fn>
+  void drain(Fn&& fn) {
+    W* w = std::exchange(head_, nullptr);
+    tail_ = nullptr;
+    size_ = 0;
+    while (w != nullptr) {
+      W* next = w->next_;
+      fn(*w);
+      w = next;
+    }
+  }
+
+ private:
+  W* head_ = nullptr;
+  W* tail_ = nullptr;
+  std::size_t size_ = 0;
+};
 
 /// One-shot (resettable) event for task synchronization.
 ///
@@ -47,8 +97,10 @@ class Event {
 
    private:
     friend class Event;
+    friend class WaiterList<Awaiter>;
     Event& ev_;
     std::coroutine_handle<> handle_{};
+    Awaiter* next_ = nullptr;
     bool ok_ = true;
   };
 
@@ -57,17 +109,15 @@ class Event {
  private:
   void fire(bool ok) {
     if (ok) set_ = true;
-    std::vector<Awaiter*> pending;
-    pending.swap(waiters_);
-    for (Awaiter* w : pending) {
-      w->ok_ = ok;
-      sim_.schedule(0, [h = w->handle_] { h.resume(); });
-    }
+    waiters_.drain([&](Awaiter& w) {
+      w.ok_ = ok;
+      sim_.schedule(0, [h = w.handle_] { h.resume(); });
+    });
   }
 
   Simulator& sim_;
   bool set_ = false;
-  std::vector<Awaiter*> waiters_;
+  WaiterList<Awaiter> waiters_;
 };
 
 /// Unbounded FIFO channel between simulation tasks.
@@ -86,8 +136,7 @@ class Channel {
   void send(T v) {
     if (closed_) return;  // messages to a closed channel are dropped
     if (!waiters_.empty()) {
-      RecvAwaiter* w = waiters_.front();
-      waiters_.pop_front();
+      RecvAwaiter* w = waiters_.pop_front();
       w->slot_ = std::move(v);
       sim_.schedule(0, [h = w->handle_] { h.resume(); });
       return;
@@ -136,8 +185,10 @@ class Channel {
 
    private:
     friend class Channel;
+    friend class WaiterList<RecvAwaiter>;
     Channel& ch_;
     std::coroutine_handle<> handle_{};
+    RecvAwaiter* next_ = nullptr;
     std::optional<T> slot_;
   };
 
@@ -145,17 +196,15 @@ class Channel {
 
  private:
   void wake_all_empty() {
-    std::deque<RecvAwaiter*> pending;
-    pending.swap(waiters_);
-    for (RecvAwaiter* w : pending) {
-      sim_.schedule(0, [h = w->handle_] { h.resume(); });
-    }
+    waiters_.drain([&](RecvAwaiter& w) {
+      sim_.schedule(0, [h = w.handle_] { h.resume(); });
+    });
   }
 
   Simulator& sim_;
   bool closed_ = false;
   std::deque<T> queue_;
-  std::deque<RecvAwaiter*> waiters_;
+  WaiterList<RecvAwaiter> waiters_;
 };
 
 /// Counting semaphore for tasks; models bounded resources such as CPU
@@ -172,8 +221,7 @@ class Semaphore {
 
   void release(std::size_t n = 1) {
     while (n > 0 && !waiters_.empty()) {
-      std::coroutine_handle<> h = waiters_.front();
-      waiters_.pop_front();
+      const std::coroutine_handle<> h = waiters_.pop_front()->handle_;
       sim_.schedule(0, [h] { h.resume(); });
       --n;
     }
@@ -198,11 +246,18 @@ class Semaphore {
       }
       return false;
     }
-    void await_suspend(std::coroutine_handle<> h) { sem_.waiters_.push_back(h); }
+    void await_suspend(std::coroutine_handle<> h) {
+      handle_ = h;
+      sem_.waiters_.push_back(this);
+    }
     void await_resume() const noexcept {}
 
    private:
+    friend class Semaphore;
+    friend class WaiterList<Awaiter>;
     Semaphore& sem_;
+    std::coroutine_handle<> handle_{};
+    Awaiter* next_ = nullptr;
   };
 
   [[nodiscard]] Awaiter acquire() noexcept { return Awaiter{*this}; }
@@ -210,7 +265,7 @@ class Semaphore {
  private:
   Simulator& sim_;
   std::size_t count_;
-  std::deque<std::coroutine_handle<>> waiters_;
+  WaiterList<Awaiter> waiters_;
 };
 
 /// RAII guard pairing a Semaphore acquire with its release.

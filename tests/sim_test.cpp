@@ -192,6 +192,41 @@ TEST(Simulator, SlabRecyclesSlotsAcrossEventWaves) {
   EXPECT_EQ(sim.events_executed(), 1000u);
 }
 
+TEST(Simulator, ScheduleReservedRunsAtTheReservedKey) {
+  // A reserved seq sits between the events scheduled before and after
+  // the reservation, even when the entry itself is pushed much later:
+  // same-time ties order by the reserved seq, not by the push.
+  Simulator sim;
+  std::vector<char> order;
+  sim.schedule_at(100, [&] { order.push_back('a'); });
+  const std::uint64_t seq = sim.reserve_seq();
+  sim.schedule_at(100, [&] { order.push_back('c'); });
+  sim.schedule_at(10, [&] {
+    sim.schedule_at(100, [&] { order.push_back('d'); });
+    sim.schedule_reserved(100, seq, [&] { order.push_back('b'); });
+  });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<char>{'a', 'b', 'c', 'd'}));
+  EXPECT_EQ(sim.now(), 100u);
+}
+
+TEST(Simulator, ScheduleReservedAtTheRunningTimeStillOrdersBySeq) {
+  // The running event pushes a reserved entry for its own timestamp:
+  // the entry runs next, ahead of the same-time event scheduled after
+  // the reservation but before the push.
+  Simulator sim;
+  std::vector<int> order;
+  std::uint64_t seq = 0;
+  sim.schedule_at(50, [&] {
+    order.push_back(1);
+    sim.schedule_reserved(50, seq, [&] { order.push_back(2); });
+  });
+  seq = sim.reserve_seq();
+  sim.schedule_at(50, [&] { order.push_back(3); });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+}
+
 // -------------------------------------------------------- InlineFunction
 
 TEST(InlineFunction, SmallCaptureStaysInlineWithoutAllocating) {
@@ -425,6 +460,33 @@ TEST(Event, ResetReArms) {
   EXPECT_TRUE(ok);
 }
 
+TEST(Event, WaitersResumeInWaitOrderAndMayWaitAgain) {
+  // Waiters resume in the order they suspended; each one then waits on
+  // the re-armed event again, so the second round must see the same
+  // order through a list that was emptied and refilled.
+  Simulator sim;
+  Event ev(sim);
+  std::vector<int> order;
+  for (int i = 0; i < 4; ++i) {
+    spawn([](Event& e, std::vector<int>& out, int id) -> Task<> {
+      for (int round = 0; round < 2; ++round) {
+        co_await e.wait();
+        out.push_back(id);
+        e.reset();
+      }
+    }(ev, order, i));
+  }
+  EXPECT_EQ(ev.waiter_count(), 4u);
+  sim.schedule(10, [&] { ev.set(); });
+  sim.schedule(20, [&] {
+    EXPECT_EQ(ev.waiter_count(), 4u);
+    ev.set();
+  });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 0, 1, 2, 3}));
+  EXPECT_EQ(ev.waiter_count(), 0u);
+}
+
 // ---------------------------------------------------------------- Channel
 
 TEST(Channel, DeliversInFifoOrder) {
@@ -551,6 +613,28 @@ TEST(Semaphore, LimitsConcurrency) {
   EXPECT_EQ(peak, 2);
   EXPECT_EQ(active, 0);
   EXPECT_EQ(sem.available(), 2u);
+}
+
+TEST(Semaphore, WaitersAreServedInArrivalOrder) {
+  Simulator sim;
+  Semaphore sem(sim, 0);
+  std::vector<int> order;
+  for (int i = 0; i < 5; ++i) {
+    spawn([](Semaphore& sm, std::vector<int>& out, int id) -> Task<> {
+      co_await sm.acquire();
+      out.push_back(id);
+    }(sem, order, i));
+  }
+  EXPECT_EQ(sem.waiting(), 5u);
+  sim.schedule(10, [&] { sem.release(2); });
+  sim.schedule(20, [&] {
+    EXPECT_EQ(sem.waiting(), 3u);
+    sem.release(4);
+  });
+  sim.run();
+  EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
+  EXPECT_EQ(sem.waiting(), 0u);
+  EXPECT_EQ(sem.available(), 1u);
 }
 
 TEST(Semaphore, ReleaseWithoutWaitersIncrementsCount) {
