@@ -5,23 +5,31 @@
 // oracle catching, shrinking and printing a re-runnable reproducer.
 //
 // --replication=chain|mirror lifts the same sweep to an R-replica
-// deployment audited by the cluster oracle (src/check/repl_explorer):
-// per-replica, correlated and crash-during-recovery schedules, with
-// the mutant becoming ack-before-REPLICA-persist.
+// deployment audited by the cluster oracle: per-replica, correlated
+// and crash-during-recovery schedules, with the mutant becoming
+// ack-before-REPLICA-persist.
 //
-// Flags: --variant=wflush|sflush|wrflush|srflush (default: all four)
-//        --schedules=N (random schedules per variant, default 32)
-//        --ops=N --window=N --value=BYTES --seed=N
+// Flags: --variant=wflush|sflush|wrflush|srflush (default: all four;
+//          --repro replays on the named one, default wflush)
+//        --schedules=N (random schedules per variant, default 32, or
+//          16 when replicated)
+//        --ops=N (default 48, or 24 when replicated)
+//        --window=N (default 8, or 4 when replicated) --value=BYTES
+//        --seed=N
 //        --mutant (ack-before-persist fault; pair with --value=32768)
 //        --replication=chain|mirror --replicas=N (cluster-level sweep)
-//        --repro="seed=S crash_at=Tns ops=N" (re-run one schedule;
-//          replicated lines are "seed=S ops=N crash=R@Tns,R@Tns")
+//        --repro="seed=S ops=N crash=R@Tns[,R@Tns…]" (re-run one
+//          schedule; the single-server form "seed=S crash_at=Tns
+//          ops=N" is still accepted)
 //        --jobs=N (parallel schedules; output is identical at any N)
 //        --engine-threads=N (accepted for flag parity with the bench
 //          binaries but clamped to 1: crash hooks require the serial
 //          single-partition engine — DESIGN.md §7.5 coherence rule)
+// Exit codes: 0 no violation, 1 a violation, 2 a malformed reproducer,
+// a crash point outside the deployment, or an unknown name.
 
 #include <cstdio>
+#include <stdexcept>
 #include <string>
 
 #include "bench_util/flags.hpp"
@@ -29,7 +37,6 @@
 #include "bench_util/sweep.hpp"
 #include "bench_util/table.hpp"
 #include "check/explorer.hpp"
-#include "check/repl_explorer.hpp"
 
 using namespace prdma;
 
@@ -48,43 +55,31 @@ constexpr NamedVariant kVariants[] = {
 };
 
 check::ExplorerConfig config_from(const bench::Flags& flags,
-                                  core::FlushVariant v) {
+                                  core::FlushVariant v,
+                                  repl::Protocol protocol) {
+  const bool replicated = protocol != repl::Protocol::kNone;
   check::ExplorerConfig cfg;
-  cfg.variant = v;
-  cfg.seed = flags.u64("seed", 1);
-  cfg.ops = flags.u64("ops", 48);
-  cfg.window = static_cast<std::uint32_t>(flags.u64("window", 8));
-  cfg.value_size = static_cast<std::uint32_t>(flags.u64("value", 4096));
-  cfg.random_schedules =
-      static_cast<std::uint32_t>(flags.u64("schedules", 32));
-  cfg.ack_before_persist = flags.flag("mutant");
-  cfg.restart_delay = 1 * sim::kMillisecond;
-  cfg.jobs = bench::jobs_from(flags);
-  return cfg;
-}
-
-check::ReplExplorerConfig repl_config_from(const bench::Flags& flags,
-                                           core::FlushVariant v,
-                                           repl::Protocol protocol) {
-  check::ReplExplorerConfig cfg;
   cfg.variant = v;
   cfg.protocol = protocol;
   cfg.replicas = static_cast<std::size_t>(flags.u64("replicas", 2));
   cfg.seed = flags.u64("seed", 1);
-  cfg.ops = flags.u64("ops", 24);
-  cfg.window = static_cast<std::uint32_t>(flags.u64("window", 4));
+  cfg.ops = flags.u64("ops", replicated ? 24 : 48);
+  cfg.window =
+      static_cast<std::uint32_t>(flags.u64("window", replicated ? 4 : 8));
   cfg.value_size = static_cast<std::uint32_t>(flags.u64("value", 4096));
-  cfg.random_schedules =
-      static_cast<std::uint32_t>(flags.u64("schedules", 16));
-  cfg.ack_before_replica_persist = flags.flag("mutant");
+  cfg.random_schedules = static_cast<std::uint32_t>(
+      flags.u64("schedules", replicated ? 16 : 32));
+  cfg.max_boundary_points = replicated ? 8 : 16;
+  cfg.ack_before_persist = !replicated && flags.flag("mutant");
+  cfg.ack_before_replica_persist = replicated && flags.flag("mutant");
   cfg.jobs = bench::jobs_from(flags);
   return cfg;
 }
 
 void print_violations(const std::vector<check::Violation>& violations,
-                      const char* prefix) {
+                      const std::string& prefix) {
   for (const auto& v : violations) {
-    std::printf("%s  %s seq=%llu at=%lluns: %s\n", prefix,
+    std::printf("%s  %s seq=%llu at=%lluns: %s\n", prefix.c_str(),
                 check::violation_name(v.kind),
                 static_cast<unsigned long long>(v.seq),
                 static_cast<unsigned long long>(v.at), v.detail.c_str());
@@ -104,6 +99,15 @@ int main(int argc, char** argv) {
                 "exploration requires the single-partition engine\n\n");
   }
   const std::string chosen = flags.str("variant", "all");
+  const NamedVariant* only = nullptr;  // null = all four
+  for (const auto& nv : kVariants) {
+    if (chosen == nv.name) only = &nv;
+  }
+  if (only == nullptr && chosen != "all") {
+    std::printf("unknown --variant=%s (wflush|sflush|wrflush|srflush)\n",
+                chosen.c_str());
+    return 2;
+  }
   const std::string repl_name = flags.str("replication", "none");
   const auto protocol = repl::protocol_from_name(repl_name);
   if (!protocol.has_value()) {
@@ -116,96 +120,42 @@ int main(int argc, char** argv) {
   std::printf("(every persist-ACK must survive a power failure at any\n");
   std::printf(" later nanosecond; §4.2 invariants, all crash schedules)\n\n");
 
-  if (*protocol != repl::Protocol::kNone) {
-    // Replicated exploration: per-replica boundary/correlated/random
-    // crash schedules audited by the cluster oracle.
-    if (const std::string line = flags.str("repro", ""); !line.empty()) {
-      const auto sched = check::parse_repl_reproducer(line);
-      if (!sched.has_value()) {
-        std::printf("unparseable replicated reproducer: %s\n", line.c_str());
-        return 2;
-      }
-      const auto cfg = repl_config_from(flags, kVariants[0].variant,
-                                        *protocol);
-      const auto r = check::run_repl_schedule(cfg, *sched);
-      std::printf("replayed %s\n",
-                  check::format_repl_reproducer(*sched).c_str());
-      std::printf("  crashes=%llu ops=%llu txn_acks=%llu hop_acks=%llu "
-                  "replays=%llu\n",
-                  static_cast<unsigned long long>(r.crashes_fired),
-                  static_cast<unsigned long long>(r.ops_completed),
-                  static_cast<unsigned long long>(r.txn_acks),
-                  static_cast<unsigned long long>(r.hop_acks),
-                  static_cast<unsigned long long>(r.replays));
-      print_violations(r.violations, "");
-      if (r.violations.empty()) std::printf("  no violations\n");
-      return r.violations.empty() ? 0 : 1;
-    }
-
-    bench::TablePrinter table({"Variant", "Protocol", "Schedules",
-                               "Boundaries", "Failed", "Verdict"});
-    int exit_code = 0;
-    for (const auto& nv : kVariants) {
-      if (chosen != "all" && chosen != nv.name) continue;
-      const auto cfg = repl_config_from(flags, nv.variant, *protocol);
-      const auto rep = check::explore_repl(cfg);
-      table.add_row({nv.name, std::string(repl::protocol_name(*protocol)),
-                     std::to_string(rep.schedules_run),
-                     std::to_string(rep.boundary_points.size()),
-                     std::to_string(rep.schedules_failed),
-                     rep.schedules_failed == 0 ? "durable" : "VIOLATED"});
-      if (rep.schedules_failed != 0) {
-        exit_code = 1;
-        std::printf("[%s] first failing schedule: %s\n", nv.name,
-                    check::format_repl_reproducer(rep.first_failure->schedule)
-                        .c_str());
-        if (rep.minimal.has_value()) {
-          std::printf("[%s] shrunken reproducer:    %s\n", nv.name,
-                      rep.reproducer.c_str());
-          print_violations(rep.minimal->violations,
-                           ("[" + std::string(nv.name) + "]").c_str());
-        }
-      }
-    }
-    table.print();
-    std::printf("\n(re-run any schedule with --replication=%s "
-                "--repro=\"seed=S ops=N crash=R@Tns,R@Tns\")\n",
-                repl_name.c_str());
-    return exit_code;
-  }
-
   if (const std::string line = flags.str("repro", ""); !line.empty()) {
     const auto sched = check::parse_reproducer(line);
     if (!sched.has_value()) {
       std::printf("unparseable reproducer: %s\n", line.c_str());
       return 2;
     }
-    const auto cfg = config_from(flags, kVariants[0].variant);
-    const auto r = check::run_schedule(cfg, *sched);
+    const auto cfg = config_from(
+        flags, (only != nullptr ? only : &kVariants[0])->variant, *protocol);
+    check::ScheduleResult r;
+    try {
+      r = check::run_schedule(cfg, *sched);
+    } catch (const std::invalid_argument& e) {
+      std::printf("unrunnable reproducer: %s\n", e.what());
+      return 2;
+    }
     std::printf("replayed %s\n", check::format_reproducer(*sched).c_str());
-    std::printf("  crash_fired=%d ops=%llu acks=%llu replays=%llu\n",
-                r.crash_fired ? 1 : 0,
+    std::printf("  crashes=%llu ops=%llu txn_acks=%llu acks=%llu "
+                "replays=%llu\n",
+                static_cast<unsigned long long>(r.crashes_fired),
                 static_cast<unsigned long long>(r.ops_completed),
+                static_cast<unsigned long long>(r.txn_acks),
                 static_cast<unsigned long long>(r.acks),
                 static_cast<unsigned long long>(r.replays));
-    for (const auto& v : r.violations) {
-      std::printf("  VIOLATION %s seq=%llu at=%lluns: %s\n",
-                  check::violation_name(v.kind),
-                  static_cast<unsigned long long>(v.seq),
-                  static_cast<unsigned long long>(v.at), v.detail.c_str());
-    }
+    print_violations(r.violations, "");
     if (r.violations.empty()) std::printf("  no violations\n");
     return r.violations.empty() ? 0 : 1;
   }
 
-  bench::TablePrinter table(
-      {"Variant", "Schedules", "Boundaries", "Failed", "Verdict"});
+  bench::TablePrinter table({"Variant", "Protocol", "Schedules",
+                             "Boundaries", "Failed", "Verdict"});
   int exit_code = 0;
   for (const auto& nv : kVariants) {
-    if (chosen != "all" && chosen != nv.name) continue;
-    const auto cfg = config_from(flags, nv.variant);
-    const auto rep = check::explore(cfg);
-    table.add_row({nv.name, std::to_string(rep.schedules_run),
+    if (only != nullptr && only != &nv) continue;
+    const auto rep = check::explore(config_from(flags, nv.variant, *protocol));
+    table.add_row({nv.name, std::string(repl::protocol_name(*protocol)),
+                   std::to_string(rep.schedules_run),
                    std::to_string(rep.boundary_points.size()),
                    std::to_string(rep.schedules_failed),
                    rep.schedules_failed == 0 ? "durable" : "VIOLATED"});
@@ -217,18 +167,16 @@ int main(int argc, char** argv) {
       if (rep.minimal.has_value()) {
         std::printf("[%s] shrunken reproducer:    %s\n", nv.name,
                     rep.reproducer.c_str());
-        for (const auto& v : rep.minimal->violations) {
-          std::printf("[%s]   %s seq=%llu at=%lluns: %s\n", nv.name,
-                      check::violation_name(v.kind),
-                      static_cast<unsigned long long>(v.seq),
-                      static_cast<unsigned long long>(v.at),
-                      v.detail.c_str());
-        }
+        print_violations(rep.minimal->violations,
+                         "[" + std::string(nv.name) + "]");
       }
     }
   }
   table.print();
-  std::printf("\n(re-run any schedule with --repro=\"seed=S crash_at=Tns "
-              "ops=N\")\n");
+  const std::string replication =
+      *protocol == repl::Protocol::kNone ? "" : " --replication=" + repl_name;
+  std::printf("\n(re-run any schedule with%s --variant=V "
+              "--repro=\"seed=S ops=N crash=R@Tns[,R@Tns]\")\n",
+              replication.c_str());
   return exit_code;
 }

@@ -33,8 +33,8 @@ int main(int argc, char** argv) {
   }
   const std::uint64_t ops = flags.u64("ops", flags.flag("quick") ? 1000 : 4000);
   const std::uint64_t seed = flags.u64("seed", 1);
-  const double busy = flags.real("load", 0.85);
-  const double loss = flags.real("loss", 0.0);
+  const double busy = flags.f64("load", 0.85);
+  const double loss = flags.f64("loss", 0.0);
   const net::TopologyConfig topology = bench::topology_from(flags);
   bench::SweepRunner runner(bench::jobs_from(flags));
 

@@ -24,7 +24,7 @@ int main(int argc, char** argv) {
   const std::uint64_t ops = flags.u64("ops", flags.flag("quick") ? 1000 : 4000);
   const std::uint64_t seed = flags.u64("seed", 1);
   const net::TopologyConfig topology = bench::topology_from(flags);
-  const double busy = flags.real("load", 3.0);
+  const double busy = flags.f64("load", 3.0);
   bench::SweepRunner runner(bench::jobs_from(flags));
 
   std::printf(

@@ -36,12 +36,12 @@ Json micro_result_json(const std::string& name, const MicroResult& res) {
   }
 
   Json comps = Json::object();
-  for (const std::string& comp : res.breakdown.component_names()) {
+  for (const auto id : res.breakdown.components()) {
     Json slot = Json::object();
     slot.set("mean_ns", Json::num(res.breakdown.mean_ns(
-                 comp, std::max<std::uint64_t>(res.ops_completed, 1))))
-        .set("share", Json::num(res.breakdown.share(comp)));
-    comps.set(comp, std::move(slot));
+                 id, std::max<std::uint64_t>(res.ops_completed, 1))))
+        .set("share", Json::num(res.breakdown.share(id)));
+    comps.set(std::string(res.breakdown.name_of(id)), std::move(slot));
   }
   row.set("breakdown", std::move(comps));
   return row;

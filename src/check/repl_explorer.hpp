@@ -1,114 +1,29 @@
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
-#include <optional>
-#include <string>
-#include <vector>
+// Replicated-exploration preset for the benchmark driver (perfbench/).
+// New code uses check::explore with ExplorerConfig::protocol directly.
 
-#include "check/cluster_oracle.hpp"
-#include "net/faults.hpp"
-#include "repl/replication.hpp"
-#include "sim/time.hpp"
+#include "check/explorer.hpp"
 
 namespace prdma::check {
 
-/// Workload + model knobs shared by every schedule of one replicated
-/// exploration (the multi-replica analogue of ExplorerConfig).
-struct ReplExplorerConfig {
-  core::FlushVariant variant = core::FlushVariant::kWFlush;
-  repl::Protocol protocol = repl::Protocol::kChain;
-  std::size_t replicas = 2;
-  std::uint64_t seed = 1;
-  std::uint64_t ops = 32;    ///< write transactions to drive
-  std::uint32_t window = 4;  ///< outstanding transactions
-  std::uint32_t value_size = 4096;
-  std::uint32_t random_schedules = 16;
-  /// Cap on distinct protocol-phase timestamps turned into targeted
-  /// schedules (probed at t-1, t, t+1 per replica, plus correlated and
-  /// crash-during-recovery combinations).
-  std::uint32_t max_boundary_points = 8;
-  /// PROTOCOL MUTANT (ReplicationConfig::ack_before_replica_persist):
-  /// ack after the head replica persists and finish the remaining hops
-  /// in the background. The explorer must find a schedule where the
-  /// cluster predicate catches the resulting acked-transaction loss.
-  bool ack_before_replica_persist = false;
-  sim::SimTime restart_delay = 1 * sim::kMillisecond;
-  sim::SimTime retransmit_interval = 100 * sim::kMillisecond;
-  /// Uniform per-packet loss probability on every cable (DESIGN.md
-  /// §7.8): replication hops ride the same lossy transport as clients.
-  double loss_probability = 0.0;
-  /// Deterministic fabric fault schedule (link flaps, partitions, loss
-  /// bursts) active during every explored schedule.
-  net::FaultPlan faults;
-  /// Worker threads for independent schedules; the report is
-  /// byte-identical at any value (DESIGN.md §7.1).
-  std::size_t jobs = 1;
+/// ExplorerConfig with the replicated sweep's defaults: chain at R = 2,
+/// 32 ops, window 4, 16 random schedules, 8 boundary points.
+struct ReplExplorerConfig : ExplorerConfig {
+  ReplExplorerConfig() {
+    protocol = repl::Protocol::kChain;
+    replicas = 2;
+    ops = 32;
+    window = 4;
+    random_schedules = 16;
+    max_boundary_points = 8;
+  }
 };
 
-/// One crash instant: replica `replica` dies at `at` nanoseconds.
-struct CrashPoint {
-  std::size_t replica = 0;
-  sim::SimTime at = 0;
+using ReplExplorerReport = ExplorerReport;
 
-  friend bool operator==(const CrashPoint&, const CrashPoint&) = default;
-};
-
-/// One point in replicated crash-schedule space. Together with
-/// ReplExplorerConfig this is a complete, re-runnable reproducer.
-struct ReplSchedule {
-  std::uint64_t seed = 1;
-  std::uint64_t ops = 32;
-  std::vector<CrashPoint> crashes;
-};
-
-struct ReplScheduleResult {
-  ReplSchedule schedule;
-  std::uint64_t crashes_fired = 0;
-  std::uint64_t ops_completed = 0;
-  std::uint64_t resends = 0;
-  std::uint64_t txn_acks = 0;  ///< replicated transactions acknowledged
-  std::uint64_t hop_acks = 0;  ///< per-replica persist-ACKs (oracle view)
-  std::uint64_t replays = 0;
-  sim::SimTime end_time = 0;
-  std::vector<Violation> violations;
-
-  [[nodiscard]] bool failed() const { return !violations.empty(); }
-};
-
-struct ReplExplorerReport {
-  std::uint64_t schedules_run = 0;
-  std::uint64_t schedules_failed = 0;
-  sim::SimTime clean_end = 0;
-  std::vector<sim::SimTime> boundary_points;
-  std::optional<ReplScheduleResult> first_failure;
-  std::optional<ReplScheduleResult> minimal;
-  /// "seed=<s> ops=<n> crash=<r>@<t>ns[,<r>@<t>ns…]" — feed to
-  /// parse_repl_reproducer() / run_repl_schedule() to replay.
-  std::string reproducer;
-};
-
-/// Runs ONE replicated crash schedule deterministically: fresh
-/// cluster (R replicas + 1 app node, kFull content), a ClusterOracle,
-/// cfg.window pipelined write drivers, and a crash_replica() at every
-/// CrashPoint. Identical (cfg, s) inputs give a bit-identical result.
-/// With `boundaries` non-null, every hop session's verb phases and
-/// every replica's redo-log trace points are harvested.
-ReplScheduleResult run_repl_schedule(const ReplExplorerConfig& cfg,
-                                     const ReplSchedule& s,
-                                     std::vector<sim::SimTime>* boundaries =
-                                         nullptr);
-
-/// Full exploration over per-replica crash instants: targeted
-/// schedules straddling each harvested phase boundary for EACH
-/// replica, correlated all-replica crashes, crash-during-recovery and
-/// staggered double-crash pairs, then seeded random singles and pairs.
-/// The first failing schedule is shrunk (bisection on op count, crash
-/// points kept) to a minimal reproducer.
-ReplExplorerReport explore_repl(const ReplExplorerConfig& cfg);
-
-[[nodiscard]] std::string format_repl_reproducer(const ReplSchedule& s);
-[[nodiscard]] std::optional<ReplSchedule> parse_repl_reproducer(
-    const std::string& line);
+inline ExplorerReport explore_repl(const ExplorerConfig& cfg) {
+  return explore(cfg);
+}
 
 }  // namespace prdma::check

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <map>
-#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -17,10 +16,9 @@ namespace prdma::stats {
 /// receiver software breakdown).
 ///
 /// Keyed by trace::ComponentId, the same interned handles the tracer
-/// records spans under, so the hot path never hashes strings. The
-/// string-accepting overloads are a compatibility shim (one release,
-/// see DESIGN.md §7.2): they intern through the shared predefined
-/// component table, falling back to per-instance dynamic ids.
+/// records spans under, so the hot path never hashes strings. Names
+/// outside the shared predefined component table get per-instance
+/// dynamic ids through intern().
 class SpanBreakdown {
  public:
   using ComponentId = trace::ComponentId;
@@ -34,21 +32,6 @@ class SpanBreakdown {
     auto& slot = slots_[id];
     slot.total_ns += total_ns;
     slot.samples += samples;
-  }
-
-  // ---- string shim (deprecated; intern once and use ids instead) ----
-
-  void add(const std::string& component, std::uint64_t ns) {
-    add(intern(component), ns);
-  }
-  [[nodiscard]] double mean_ns(const std::string& component,
-                               std::uint64_t ops) const {
-    const auto id = find(component);
-    return id ? mean_ns(*id, ops) : 0.0;
-  }
-  [[nodiscard]] double share(const std::string& component) const {
-    const auto id = find(component);
-    return id ? share(*id) : 0.0;
   }
 
   /// Returns the id `name` maps to in this breakdown, interning a
@@ -118,14 +101,16 @@ class SpanBreakdown {
                                  : std::string_view("?");
   }
 
-  /// Names of every populated component, sorted alphabetically (the
-  /// historical std::map<string> iteration order).
-  [[nodiscard]] std::vector<std::string> component_names() const {
-    std::vector<std::string> names;
-    names.reserve(slots_.size());
-    for (const auto& [id, slot] : slots_) names.emplace_back(name_of(id));
-    std::sort(names.begin(), names.end());
-    return names;
+  /// Every populated component, sorted by name (the historical
+  /// std::map<string> iteration order).
+  [[nodiscard]] std::vector<ComponentId> components() const {
+    std::vector<ComponentId> ids;
+    ids.reserve(slots_.size());
+    for (const auto& [id, slot] : slots_) ids.push_back(id);
+    std::sort(ids.begin(), ids.end(), [this](ComponentId a, ComponentId b) {
+      return name_of(a) < name_of(b);
+    });
+    return ids;
   }
 
   void merge(const SpanBreakdown& o) {
@@ -150,18 +135,6 @@ class SpanBreakdown {
     std::uint64_t total_ns = 0;
     std::uint64_t samples = 0;
   };
-
-  [[nodiscard]] std::optional<ComponentId> find(std::string_view name) const {
-    if (const auto c = trace::component_from_name(name)) {
-      return trace::to_id(*c);
-    }
-    for (std::size_t i = 0; i < dynamic_.size(); ++i) {
-      if (dynamic_[i] == name) {
-        return static_cast<ComponentId>(trace::kPredefinedComponents + i);
-      }
-    }
-    return std::nullopt;
-  }
 
   std::map<ComponentId, Slot> slots_;
   std::vector<std::string> dynamic_;

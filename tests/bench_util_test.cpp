@@ -168,14 +168,14 @@ TEST(Flags, ParsesKeyValueAndBoolean) {
   EXPECT_TRUE(f.flag("quick"));
   EXPECT_FALSE(f.flag("missing"));
   EXPECT_EQ(f.u64("missing", 42), 42u);
-  EXPECT_DOUBLE_EQ(f.real("missing", 1.5), 1.5);
+  EXPECT_DOUBLE_EQ(f.f64("missing", 1.5), 1.5);
 }
 
 TEST(Flags, ParsesReals) {
   const char* argv[] = {"prog", "--load=0.85"};
   Flags f(2, const_cast<char**>(argv));
-  EXPECT_DOUBLE_EQ(f.real("load", 0.0), 0.85);
-  EXPECT_DOUBLE_EQ(f.f64("load", 0.0), 0.85);  // real() is the f64 shim
+  EXPECT_DOUBLE_EQ(f.f64("load", 0.0), 0.85);
+  EXPECT_DOUBLE_EQ(f.f64("load", 1.5), 0.85);  // a present key wins
 }
 
 TEST(Flags, TypedStringAccessor) {

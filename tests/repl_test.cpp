@@ -12,7 +12,7 @@
 
 #include "bench_util/micro.hpp"
 #include "bench_util/sweep.hpp"
-#include "check/repl_explorer.hpp"
+#include "check/explorer.hpp"
 #include "core/node.hpp"
 #include "net/faults.hpp"
 #include "repl/replication.hpp"
@@ -195,17 +195,17 @@ TEST(Repl, ReadsGoToTheHeadAndCreateNoTransactions) {
 TEST(Repl, CrashedReplicaHealsAndEveryOpCompletes) {
   // Mid-run crash of the tail replica: drivers stall on the dead hop,
   // recovery replays its log, writes self-heal; nothing is lost.
-  check::ReplExplorerConfig cfg;
+  check::ExplorerConfig cfg;
   cfg.protocol = Protocol::kChain;
   cfg.replicas = 2;
   cfg.ops = 24;
   cfg.window = 4;
-  const auto dry = check::run_repl_schedule(cfg, {cfg.seed, cfg.ops, {}});
+  const auto dry = check::run_schedule(cfg, {cfg.seed, cfg.ops, {}});
   ASSERT_EQ(dry.ops_completed, cfg.ops);
   ASSERT_EQ(dry.crashes_fired, 0u);
 
-  check::ReplSchedule s{cfg.seed, cfg.ops, {{1, dry.end_time / 2}}};
-  const auto r = check::run_repl_schedule(cfg, s);
+  check::Schedule s{cfg.seed, cfg.ops, {{1, dry.end_time / 2}}};
+  const auto r = check::run_schedule(cfg, s);
   EXPECT_GE(r.crashes_fired, 1u);
   EXPECT_EQ(r.ops_completed, cfg.ops) << "self-healing must finish the job";
   EXPECT_GT(r.end_time, dry.end_time) << "recovery costs simulated time";
@@ -214,15 +214,15 @@ TEST(Repl, CrashedReplicaHealsAndEveryOpCompletes) {
 }
 
 TEST(Repl, CorrelatedCrashOfAllReplicasStillRecovers) {
-  check::ReplExplorerConfig cfg;
+  check::ExplorerConfig cfg;
   cfg.protocol = Protocol::kMirror;
   cfg.replicas = 2;
   cfg.ops = 16;
-  const auto dry = check::run_repl_schedule(cfg, {cfg.seed, cfg.ops, {}});
-  check::ReplSchedule s{cfg.seed,
-                        cfg.ops,
-                        {{0, dry.end_time / 2}, {1, dry.end_time / 2}}};
-  const auto r = check::run_repl_schedule(cfg, s);
+  cfg.window = 4;
+  const auto dry = check::run_schedule(cfg, {cfg.seed, cfg.ops, {}});
+  check::Schedule s{
+      cfg.seed, cfg.ops, {{0, dry.end_time / 2}, {1, dry.end_time / 2}}};
+  const auto r = check::run_schedule(cfg, s);
   EXPECT_EQ(r.crashes_fired, 2u);
   EXPECT_EQ(r.ops_completed, cfg.ops);
   EXPECT_TRUE(r.violations.empty())
@@ -446,10 +446,10 @@ TEST(DegradedFabric, LossyReplicatedStatsAreIdenticalAcrossThreadCounts) {
 // ---------------------------------------------------------- reproducer
 
 TEST(Reproducer, FormatParseRoundTrip) {
-  const check::ReplSchedule s{42, 17, {{0, 111}, {1, 222}}};
-  const auto line = check::format_repl_reproducer(s);
+  const check::Schedule s{42, 17, {{0, 111}, {1, 222}}};
+  const auto line = check::format_reproducer(s);
   EXPECT_EQ(line, "seed=42 ops=17 crash=0@111ns,1@222ns");
-  const auto back = check::parse_repl_reproducer(line);
+  const auto back = check::parse_reproducer(line);
   ASSERT_TRUE(back.has_value());
   EXPECT_EQ(back->seed, s.seed);
   EXPECT_EQ(back->ops, s.ops);
@@ -457,18 +457,18 @@ TEST(Reproducer, FormatParseRoundTrip) {
 }
 
 TEST(Reproducer, DryScheduleSaysCrashNone) {
-  const check::ReplSchedule s{7, 8, {}};
-  const auto line = check::format_repl_reproducer(s);
+  const check::Schedule s{7, 8, {}};
+  const auto line = check::format_reproducer(s);
   EXPECT_EQ(line, "seed=7 ops=8 crash=none");
-  const auto back = check::parse_repl_reproducer(line);
+  const auto back = check::parse_reproducer(line);
   ASSERT_TRUE(back.has_value());
   EXPECT_TRUE(back->crashes.empty());
 }
 
 TEST(Reproducer, ParseRejectsGarbage) {
-  EXPECT_FALSE(check::parse_repl_reproducer("not a reproducer").has_value());
-  EXPECT_FALSE(check::parse_repl_reproducer("seed=1 ops=2").has_value());
-  EXPECT_FALSE(check::parse_repl_reproducer("seed=1 ops=2 crash=").has_value());
+  EXPECT_FALSE(check::parse_reproducer("not a reproducer").has_value());
+  EXPECT_FALSE(check::parse_reproducer("seed=1 ops=2").has_value());
+  EXPECT_FALSE(check::parse_reproducer("seed=1 ops=2 crash=").has_value());
 }
 
 }  // namespace

@@ -192,34 +192,37 @@ TEST(Summary, MergeWithEmptySides) {
 
 TEST(Breakdown, SharesSumToOne) {
   SpanBreakdown bd;
-  bd.add("sender_sw", 100);
-  bd.add("rtt", 700);
-  bd.add("receiver_sw", 200);
-  EXPECT_DOUBLE_EQ(bd.share("sender_sw") + bd.share("rtt") +
-                       bd.share("receiver_sw"),
+  const auto sender = bd.intern("sender_sw");
+  const auto rtt = bd.intern("rtt");
+  const auto receiver = bd.intern("receiver_sw");
+  bd.add(sender, 100);
+  bd.add(rtt, 700);
+  bd.add(receiver, 200);
+  EXPECT_DOUBLE_EQ(bd.share(sender) + bd.share(rtt) + bd.share(receiver),
                    1.0);
-  EXPECT_DOUBLE_EQ(bd.share("rtt"), 0.7);
+  EXPECT_DOUBLE_EQ(bd.share(rtt), 0.7);
   EXPECT_EQ(bd.total_ns(), 1000u);
 }
 
 TEST(Breakdown, MeanPerOperation) {
   SpanBreakdown bd;
-  bd.add("rtt", 100);
-  bd.add("rtt", 300);
-  EXPECT_DOUBLE_EQ(bd.mean_ns("rtt", 2), 200.0);
-  EXPECT_DOUBLE_EQ(bd.mean_ns("missing", 2), 0.0);
-  EXPECT_DOUBLE_EQ(bd.mean_ns("rtt", 0), 0.0);
+  const auto rtt = bd.intern("rtt");
+  bd.add(rtt, 100);
+  bd.add(rtt, 300);
+  EXPECT_DOUBLE_EQ(bd.mean_ns(rtt, 2), 200.0);
+  EXPECT_DOUBLE_EQ(bd.mean_ns(bd.intern("missing"), 2), 0.0);
+  EXPECT_DOUBLE_EQ(bd.mean_ns(rtt, 0), 0.0);
 }
 
 TEST(Breakdown, MergeAccumulates) {
   SpanBreakdown a;
   SpanBreakdown b;
-  a.add("x", 10);
-  b.add("x", 20);
-  b.add("y", 5);
+  a.add(a.intern("x"), 10);
+  b.add(b.intern("x"), 20);
+  b.add(b.intern("y"), 5);
   a.merge(b);
   EXPECT_EQ(a.total_ns(), 35u);
-  EXPECT_EQ(a.component_names().size(), 2u);
+  EXPECT_EQ(a.components().size(), 2u);
   a.reset();
   EXPECT_EQ(a.total_ns(), 0u);
 }
