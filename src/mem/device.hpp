@@ -55,8 +55,10 @@ class Device {
         timing_(timing),
         capacity_(capacity),
         // calloc: content pages stay untouched (kernel zero pages)
-        // until first written — constructing a 256 MiB device costs
-        // nothing, which is what lets sweep cells scale across cores.
+        // until first written, and a crash clears only what was
+        // written (zero_content) — so neither constructing nor
+        // crashing a 256 MiB device touches its unwritten pages, which
+        // is what lets sweep cells and crash schedules scale.
         content_(static_cast<std::byte*>(std::calloc(capacity, 1))) {}
 
   virtual ~Device() = default;
@@ -76,6 +78,10 @@ class Device {
 
   void poke(std::uint64_t addr, std::span<const std::byte> data) {
     assert(addr + data.size() <= capacity_);
+    if (!data.empty()) {
+      written_lo_ = std::min(written_lo_, addr);
+      written_hi_ = std::max(written_hi_, addr + data.size());
+    }
     std::copy(data.begin(), data.end(), content_.get() + addr);
     bytes_written_ += data.size();
     bytes_copied_ += data.size();
@@ -142,7 +148,18 @@ class Device {
   [[nodiscard]] const DeviceTiming& timing() const { return timing_; }
 
  protected:
-  void zero_content() { std::memset(content_.get(), 0, capacity_); }
+  /// Clears the content. poke(), the only content writer, widens the
+  /// extent [written_lo_, written_hi_) written since the content was
+  /// last all-zero; invariant: every byte outside it is zero. Clearing
+  /// just the extent and resetting it therefore leaves the whole device
+  /// zero, at a cost proportional to what was written, not to capacity.
+  void zero_content() {
+    if (written_lo_ < written_hi_) {
+      std::memset(content_.get() + written_lo_, 0, written_hi_ - written_lo_);
+    }
+    written_lo_ = kNoWrites;
+    written_hi_ = 0;
+  }
 
   sim::Simulator& sim_;
 
@@ -151,10 +168,14 @@ class Device {
     void operator()(std::byte* p) const { std::free(p); }
   };
 
+  static constexpr std::uint64_t kNoWrites = ~std::uint64_t{0};
+
   std::string name_;
   DeviceTiming timing_;
   std::uint64_t capacity_;
   std::unique_ptr<std::byte[], FreeDeleter> content_;
+  std::uint64_t written_lo_ = kNoWrites;  ///< extent written since all-zero
+  std::uint64_t written_hi_ = 0;
   sim::SimTime busy_until_ = 0;
   std::uint64_t bytes_written_ = 0;
   mutable std::uint64_t bytes_copied_ = 0;
@@ -197,7 +218,9 @@ class PmDevice final : public Device {
   std::uint64_t torn_writes_ = 0;
 };
 
-/// Volatile DRAM: contents are lost on power failure.
+/// Volatile DRAM: contents are lost on power failure. A crash zeroes
+/// only the extent written since the previous one (zero_content()), so
+/// post-crash contents are all-zero at any capacity.
 class DramDevice final : public Device {
  public:
   DramDevice(sim::Simulator& sim, std::string name, std::uint64_t capacity,

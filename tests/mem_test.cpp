@@ -2,6 +2,7 @@
 // cache model, and the node memory map's persistence semantics.
 
 #include <gtest/gtest.h>
+#include <sys/resource.h>
 
 #include <algorithm>
 #include <array>
@@ -12,6 +13,7 @@
 #include <random>
 #include <span>
 #include <stdexcept>
+#include <type_traits>
 #include <vector>
 
 #include "mem/buffer_pool.hpp"
@@ -106,6 +108,139 @@ TEST(Device, PmSurvivesCrashDramDoesNot) {
   EXPECT_EQ(out, std::vector<std::byte>(64, std::byte{0}));
   EXPECT_TRUE(pm.persistent());
   EXPECT_FALSE(dram.persistent());
+}
+
+bool all_zero(std::span<const std::byte> s) {
+  return std::all_of(s.begin(), s.end(),
+                     [](std::byte b) { return b == std::byte{0}; });
+}
+
+TEST(Device, DramCrashClearsWhatWasWrittenSinceTheLastCrash) {
+  Simulator sim;
+  DramDevice dram(sim, "dram", 4096, fast_timing());
+  // Nothing written: the crash is a no-op.
+  dram.crash();
+  EXPECT_TRUE(all_zero(dram.view(0, 4096)));
+  EXPECT_EQ(dram.bytes_written(), 0u);
+  EXPECT_EQ(dram.bytes_copied(), 0u);
+  // An empty store at the end of capacity writes nothing.
+  dram.poke(4096, {});
+  dram.crash();
+  EXPECT_TRUE(all_zero(dram.view(0, 4096)));
+  EXPECT_EQ(dram.bytes_written(), 0u);
+
+  // Stores at both ends of capacity are cleared by the next crash.
+  dram.poke(4093, bytes({1, 2, 3}));
+  dram.poke(0, bytes({7}));
+  EXPECT_EQ(static_cast<int>(dram.view(4095, 1)[0]), 3);
+  EXPECT_EQ(static_cast<int>(dram.view(0, 1)[0]), 7);
+  dram.crash();
+  EXPECT_TRUE(all_zero(dram.view(0, 4096)));
+  EXPECT_EQ(dram.bytes_written(), 4u);
+
+  // Stores after a crash are cleared by the following crash.
+  dram.poke(100, bytes({9, 9}));
+  dram.poke(2000, bytes({5}));
+  EXPECT_EQ(static_cast<int>(dram.view(101, 1)[0]), 9);
+  EXPECT_EQ(static_cast<int>(dram.view(2000, 1)[0]), 5);
+  dram.crash();
+  EXPECT_TRUE(all_zero(dram.view(0, 4096)));
+  EXPECT_EQ(dram.bytes_written(), 7u);
+  EXPECT_EQ(dram.bytes_copied(), 7u);
+}
+
+long minor_faults() {
+  rusage ru{};
+  getrusage(RUSAGE_SELF, &ru);
+  return ru.ru_minflt;
+}
+
+// A volatile crash costs what the node wrote, not what it could hold:
+// zeroing 256 MiB would fault in 65,536 fresh pages; clearing the
+// written extent touches only pages that are already resident. The
+// second crash fails if the extent outlived the first one.
+TEST(DramDevice, CrashCostScalesWithWrittenBytesNotCapacity) {
+  constexpr std::uint64_t kMiB = 1 << 20;
+  Simulator sim;
+  DramDevice dram(sim, "dram", 256 * kMiB, fast_timing());
+  const auto data = pattern(4096);
+  dram.poke(1 * kMiB, data);
+  long before = minor_faults();
+  dram.crash();
+  EXPECT_LT(minor_faults() - before, 64);
+  EXPECT_TRUE(all_zero(dram.view(1 * kMiB, 4096)));
+
+  dram.poke(192 * kMiB, data);
+  before = minor_faults();
+  dram.crash();
+  EXPECT_LT(minor_faults() - before, 64);
+  EXPECT_TRUE(all_zero(dram.view(192 * kMiB, 4096)));
+}
+
+/// Drives a small device with one seeded random sequence of stores
+/// (unaligned, empty, at both ends of capacity), torn PM landings,
+/// reads and crashes, and compares content and accounting after every
+/// step against a plain byte vector that a DRAM crash zeroes in full
+/// and a PM crash keeps.
+template <class Dev>
+void device_differential_run(std::uint64_t seed) {
+  constexpr std::uint64_t kCap = 8 * kCacheLine + 13;
+  Simulator sim;
+  Dev dev(sim, "dev", kCap, fast_timing());
+  std::vector<std::byte> ref(kCap);
+  std::uint64_t written = 0;
+  std::uint64_t copied = 0;
+  std::mt19937_64 rng(seed);
+  auto draw = [&rng](std::uint64_t n) { return rng() % n; };
+  for (int step = 0; step < 300; ++step) {
+    SCOPED_TRACE(::testing::Message() << "seed " << seed << " step " << step);
+    std::uint64_t len = draw(4) == 0 ? 0 : 1 + draw(3 * kCacheLine);
+    len = std::min(len, kCap);
+    std::uint64_t addr = draw(kCap - len + 1);
+    if (const std::uint64_t where = draw(4); where == 0) {
+      addr = 0;
+    } else if (where == 1) {
+      addr = kCap - len;
+    }
+    const auto data = pattern(len, static_cast<int>(draw(256)));
+    const std::uint64_t op = draw(100);
+    if (op < 45) {
+      dev.poke(addr, data);
+      std::copy(data.begin(), data.end(), ref.begin() + addr);
+      written += len;
+      copied += len;
+    } else if (op < 60) {
+      if constexpr (std::is_same_v<Dev, PmDevice>) {
+        const std::uint64_t persisted = draw(len + kCacheLine);
+        dev.torn_write(addr, data, persisted);
+        const std::uint64_t landed = line_down(std::min(persisted, len));
+        std::copy_n(data.begin(), landed, ref.begin() + addr);
+        written += landed;
+        copied += landed;
+      }
+    } else if (op < 88) {
+      std::vector<std::byte> got(len);
+      dev.peek(addr, got);
+      ASSERT_TRUE(std::equal(got.begin(), got.end(), ref.begin() + addr));
+      copied += len;
+    } else {
+      dev.crash();
+      if (!dev.persistent()) std::fill(ref.begin(), ref.end(), std::byte{0});
+    }
+    const auto v = dev.view(0, kCap);
+    ASSERT_TRUE(std::equal(v.begin(), v.end(), ref.begin())) << "contents";
+    ASSERT_EQ(dev.bytes_written(), written);
+    ASSERT_EQ(dev.bytes_copied(), copied);
+  }
+}
+
+TEST(DeviceDifferential, MatchesByteVectorOnRandomSequences) {
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    device_differential_run<DramDevice>(seed);
+    if (::testing::Test::HasFatalFailure()) return;
+    device_differential_run<PmDevice>(seed);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
 }
 
 // ------------------------------------------------------------------- Llc
